@@ -32,7 +32,7 @@
 
 use lima_algos::runner::run_script;
 use lima_client::{ClientOptions, LimadClient, SubmitOptions};
-use lima_core::faults::{FaultInjector, FaultSite};
+use lima_core::faults::{mix, FaultInjector, FaultSite};
 use lima_core::lineage::serialize_lineage;
 use lima_core::resilience::RetryPolicy;
 use lima_core::{LimaConfig, LimaStats};
@@ -47,15 +47,6 @@ use std::time::{Duration, Instant};
 
 const TENANTS: usize = 4;
 const WORKERS: usize = 12;
-
-/// splitmix64 finalizer — the deterministic mixer behind zipf draws and
-/// per-seed corpus parameters.
-fn mix_seed(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Fault {
@@ -171,7 +162,7 @@ fn parse_args() -> Result<Args, String> {
 fn corpus(seed: u64) -> Vec<String> {
     let mut scripts = Vec::new();
     for i in 0..4u64 {
-        let p = 1 + (mix_seed(seed ^ i) % 7);
+        let p = 1 + (mix(seed ^ i) % 7);
         scripts.push(format!(
             "X = matrix({p}, 40, 12);\nG = t(X) %*% X;\ns = sum(G);\n"
         ));
@@ -200,7 +191,7 @@ fn corpus(seed: u64) -> Vec<String> {
 fn zipf(seed: u64, draw: u64, n: usize) -> usize {
     let weights: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(1.1)).collect();
     let total: f64 = weights.iter().sum();
-    let u = (mix_seed(seed ^ mix_seed(draw)) >> 11) as f64 / (1u64 << 53) as f64;
+    let u = (mix(seed ^ mix(draw)) >> 11) as f64 / (1u64 << 53) as f64;
     let mut acc = 0.0;
     for (i, w) in weights.iter().enumerate() {
         acc += w / total;
@@ -1148,7 +1139,7 @@ fn run_partition(args: &Args, seed: u64) -> Result<BenchRecord, String> {
 /// least one hedge must actually win.
 fn run_hedge(args: &Args, seed: u64) -> Result<BenchRecord, String> {
     const FETCHES: usize = 80;
-    let p = 1 + mix_seed(seed) % 7;
+    let p = 1 + mix(seed) % 7;
     let script = format!("X = matrix({p}, 60, 10);\nG = t(X) %*% X;\ns = sum(G);\n");
     let slow_shards: Vec<u64> = (0..args.shards as u64).collect();
     let group = ReplicaGroup::start_with(&group_config(args.shards), 2, |i, cfg| {

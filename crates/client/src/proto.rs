@@ -20,8 +20,10 @@
 //! [`ErrorCode`] and an optional retry-after hint.
 
 use bytes::{Buf, BufMut, BytesMut};
+use lima_core::codec;
+pub use lima_core::codec::fnv1a;
 use lima_core::{Diagnostic, Label, Severity, Span};
-use lima_matrix::{DenseMatrix, ScalarValue, Value};
+use lima_matrix::Value;
 use std::io::{Read, Write};
 
 /// Frame magic: `"LMD1"`.
@@ -33,16 +35,6 @@ pub const TRAILER_BYTES: usize = 8;
 /// Default cap on a frame payload; oversized frames are rejected with a
 /// typed error before any allocation happens.
 pub const MAX_FRAME_BYTES: usize = 32 * 1024 * 1024;
-
-/// FNV-1a 64-bit hash (same construction as the spill/persist formats).
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Typed failure classes carried in error responses. The same codes drive
 /// `limac`/`limad` process exit codes, so scripts and CI can distinguish a
@@ -495,56 +487,23 @@ fn get_diag(buf: &mut &[u8]) -> Option<Diagnostic> {
     })
 }
 
-/// Appends a value in the wire encoding. Lists are not wire-transportable;
-/// they encode as tag 2 (absent) so a response can still mention them.
+/// Wire tag for a value the codec cannot encode (a list): it decodes as
+/// absent, so a response can still mention it.
+const TAG_ABSENT: u8 = 2;
+
+/// Appends a value in the [`codec`] body encoding, or [`TAG_ABSENT`].
 fn put_value(buf: &mut BytesMut, value: &Value) {
-    match value {
-        Value::Matrix(m) => {
-            buf.put_u8(0);
-            buf.put_u64(m.rows() as u64);
-            buf.put_u64(m.cols() as u64);
-            for &v in m.data() {
-                buf.put_f64(v);
-            }
-        }
-        Value::Scalar(s) => {
-            buf.put_u8(1);
-            put_str(buf, &s.lineage_literal());
-        }
-        Value::List(_) => buf.put_u8(2),
+    if !codec::put_value(buf, value) {
+        buf.put_u8(TAG_ABSENT);
     }
 }
 
 fn get_value(buf: &mut &[u8]) -> Option<Option<Value>> {
-    if buf.remaining() < 1 {
-        return None;
+    if buf.first() == Some(&TAG_ABSENT) {
+        buf.get_u8();
+        return Some(None);
     }
-    match buf.get_u8() {
-        0 => {
-            if buf.remaining() < 16 {
-                return None;
-            }
-            let rows = buf.get_u64() as usize;
-            let cols = buf.get_u64() as usize;
-            let n = rows.checked_mul(cols)?;
-            if buf.remaining() < n.checked_mul(8)? {
-                return None;
-            }
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(buf.get_f64());
-            }
-            DenseMatrix::new(rows, cols, data)
-                .ok()
-                .map(|m| Some(Value::matrix(m)))
-        }
-        1 => {
-            let lit = get_str(buf)?;
-            ScalarValue::from_lineage_literal(&lit).map(|s| Some(Value::Scalar(s)))
-        }
-        2 => Some(None),
-        _ => None,
-    }
+    codec::get_value(buf).ok().map(Some)
 }
 
 fn put_record(buf: &mut BytesMut, r: &ReplRecord) {
@@ -1054,6 +1013,7 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> std::io::Result<(u8,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lima_matrix::DenseMatrix;
 
     fn round_trip_req(req: Request) {
         let (kind, payload) = req.encode();

@@ -64,24 +64,22 @@
 //! by the next recovery is exactly the state at the moment of the simulated
 //! crash.
 
+use crate::codec::{encode_value_file, fnv1a, read_value_file};
 use crate::faults::{FaultInjector, FaultSite};
 use crate::lineage::item::LinRef;
 use crate::lineage::serialize::{deserialize_lineage, serialize_lineage};
 use crate::resilience::{RetryBudget, RetryPolicy};
 use bytes::{Buf, BufMut, BytesMut};
-use lima_matrix::{DenseMatrix, ScalarValue, Value};
+use lima_matrix::Value;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Value-file magic: "LIMV".
-const VALUE_MAGIC: u32 = 0x4C49_4D56;
-const VALUE_VERSION: u32 = 1;
 /// WAL record kinds.
 const REC_PUT: u8 = 1;
 const REC_TOMBSTONE: u8 = 2;
@@ -92,16 +90,6 @@ const MAX_RECORD_BYTES: usize = 256 * 1024 * 1024;
 /// prefix + (kind u8, id u64, compute_ns u64, value_bytes u64, lin_len u32)
 /// + u64 checksum trailer.
 const PUT_RECORD_OVERHEAD: u64 = 4 + 29 + 8;
-
-/// FNV-1a 64-bit hash (same construction as the spill format).
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Path of generation `generation`'s manifest under `dir`.
 fn manifest_path(dir: &Path, generation: u64) -> PathBuf {
@@ -719,7 +707,7 @@ impl PersistentCacheStore {
         compute_ns: u64,
     ) -> std::io::Result<Option<PersistOutcome>> {
         self.dead()?;
-        let Some(encoded) = encode_value(value) else {
+        let Some(encoded) = encode_value_file(value) else {
             return Ok(None);
         };
         let lineage = serialize_lineage(root);
@@ -1015,7 +1003,7 @@ fn attempt_repair(
         opts.repair_retry
             .run_budgeted(Some(budget), |_e: &String| true, || hook.repair(root));
     let value = res.ok()?;
-    let encoded = encode_value(&value)?;
+    let encoded = encode_value_file(&value)?;
     write_value_atomic(path, &encoded).ok()?;
     Some((value, encoded.len() as u64))
 }
@@ -1186,90 +1174,6 @@ fn parse_payload(mut p: &[u8]) -> Option<Record> {
             Some(Record::Tombstone { id })
         }
         _ => None,
-    }
-}
-
-/// Serializes a value into the checksummed value-file format. Lists are not
-/// persisted (`None`).
-fn encode_value(value: &Value) -> Option<Vec<u8>> {
-    let mut buf = BytesMut::new();
-    buf.put_u32(VALUE_MAGIC);
-    buf.put_u32(VALUE_VERSION);
-    match value {
-        Value::Matrix(m) => {
-            buf.put_u8(0);
-            buf.put_u64(m.rows() as u64);
-            buf.put_u64(m.cols() as u64);
-            for &v in m.data() {
-                buf.put_f64(v);
-            }
-        }
-        Value::Scalar(s) => {
-            buf.put_u8(1);
-            let lit = s.lineage_literal();
-            buf.put_u32(lit.len() as u32);
-            buf.put_slice(lit.as_bytes());
-        }
-        Value::List(_) => return None,
-    }
-    let checksum = fnv1a(&buf);
-    buf.put_u64(checksum);
-    Some(buf.to_vec())
-}
-
-/// Reads and verifies a value file written by [`encode_value`].
-fn read_value_file(path: &Path) -> std::io::Result<Value> {
-    let mut raw = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut raw)?;
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    if raw.len() < 9 + 8 {
-        return Err(bad("value file too short"));
-    }
-    let (body, trailer) = raw.split_at(raw.len() - 8);
-    let mut t = trailer;
-    if fnv1a(body) != t.get_u64() {
-        return Err(bad("value file checksum mismatch"));
-    }
-    let mut buf = body;
-    if buf.get_u32() != VALUE_MAGIC {
-        return Err(bad("bad value file magic"));
-    }
-    let version = buf.get_u32();
-    if version != VALUE_VERSION {
-        return Err(bad(&format!("unsupported value format version {version}")));
-    }
-    match buf.get_u8() {
-        0 => {
-            if buf.remaining() < 16 {
-                return Err(bad("truncated matrix header"));
-            }
-            let rows = buf.get_u64() as usize;
-            let cols = buf.get_u64() as usize;
-            if rows.checked_mul(cols).and_then(|n| n.checked_mul(8)) != Some(buf.remaining()) {
-                return Err(bad("truncated matrix value file"));
-            }
-            let mut data = Vec::with_capacity(rows * cols);
-            for _ in 0..rows * cols {
-                data.push(buf.get_f64());
-            }
-            DenseMatrix::new(rows, cols, data)
-                .map(Value::matrix)
-                .map_err(|e| bad(&e.to_string()))
-        }
-        1 => {
-            if buf.remaining() < 4 {
-                return Err(bad("truncated scalar header"));
-            }
-            let len = buf.get_u32() as usize;
-            if buf.remaining() != len {
-                return Err(bad("truncated scalar value file"));
-            }
-            let lit = std::str::from_utf8(buf).map_err(|_| bad("scalar not UTF-8"))?;
-            ScalarValue::from_lineage_literal(lit)
-                .map(Value::Scalar)
-                .ok_or_else(|| bad("bad scalar literal"))
-        }
-        other => Err(bad(&format!("unknown value tag {other}"))),
     }
 }
 
@@ -1523,6 +1427,7 @@ pub fn fsck(dir: &Path) -> FsckReport {
 mod tests {
     use super::*;
     use crate::lineage::item::{lineage_eq, LineageItem};
+    use lima_matrix::DenseMatrix;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);

@@ -1,43 +1,25 @@
 //! Disk spilling of evicted cache entries (paper §4.3).
 //!
 //! Only matrices are spilled (scalars are too small to matter; lists are
-//! dropped and recomputed). The format (version 2) is a self-describing
-//! binary header, the raw `f64` buffer, and a trailing FNV-1a-64 checksum
-//! over everything before it, written with the `bytes` crate. The checksum
-//! detects every single-byte corruption (each FNV step is injective in both
-//! operands modulo 2^64), so a damaged spill file always restores to a clean
-//! error — never to a silently wrong matrix.
+//! dropped and recomputed). A spill file is a `LIMV` value file, the same
+//! format persisted values use ([`crate::codec`]). Its trailing FNV-1a-64
+//! checksum detects every single-byte corruption, so a damaged spill file
+//! always restores to a clean error — never to a silently wrong matrix.
+//! Spill files live in a per-process directory that is deleted on drop and
+//! are only read by the process that wrote them.
 //!
 //! A [`crate::faults::FaultInjector`] can be attached to exercise write
 //! failures, read failures, and on-disk corruption deterministically.
 
+use crate::codec::{encode_value_file, read_value_file};
 use crate::faults::{FaultInjector, FaultSite};
-use bytes::{Buf, BufMut, BytesMut};
-use lima_matrix::{DenseMatrix, Value};
+use lima_matrix::Value;
 use std::fs;
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-const MAGIC: u32 = 0x4C49_4D41; // "LIMA"
-const VERSION: u32 = 2;
-/// magic + version + rows + cols.
-const HEADER_BYTES: usize = 4 + 4 + 8 + 8;
-/// Trailing FNV-1a-64 checksum.
-const TRAILER_BYTES: usize = 8;
-
 static NEXT_FILE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// FNV-1a 64-bit hash of `data`.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Manages the spill directory lifecycle; files are removed on drop.
 #[derive(Debug)]
@@ -66,8 +48,8 @@ impl SpillStore {
     /// Spills a matrix value; returns the file path and bytes written.
     /// Returns `None` for non-matrix values (they are not spillable).
     pub fn spill(&self, value: &Value) -> std::io::Result<Option<(PathBuf, usize)>> {
-        let m = match value {
-            Value::Matrix(m) => m,
+        let encoded = match (value, encode_value_file(value)) {
+            (Value::Matrix(_), Some(encoded)) => encoded,
             _ => return Ok(None),
         };
         if let Some(f) = &self.faults {
@@ -86,7 +68,7 @@ impl SpillStore {
             "e{}.bin",
             NEXT_FILE_ID.fetch_add(1, Ordering::Relaxed)
         ));
-        let bytes = write_matrix(&path, m)?;
+        fs::write(&path, &encoded)?;
         #[cfg(any(test, feature = "faults"))]
         if let Some(f) = &self.faults {
             if f.should_fail(FaultSite::SpillCorrupt) {
@@ -95,7 +77,7 @@ impl SpillStore {
                 corrupt_file(&path, f.injected(FaultSite::SpillCorrupt))?;
             }
         }
-        Ok(Some((path, bytes)))
+        Ok(Some((path, encoded.len())))
     }
 
     /// Restores a previously spilled matrix and deletes the file.
@@ -105,9 +87,9 @@ impl SpillStore {
                 return Err(FaultInjector::io_error(FaultSite::SpillRead));
             }
         }
-        let m = read_matrix(path)?;
+        let value = read_value_file(path)?;
         let _ = fs::remove_file(path);
-        Ok(Value::matrix(m))
+        Ok(value)
     }
 
     /// Removes a spill file without restoring (entry deleted while spilled).
@@ -141,8 +123,7 @@ impl Drop for SpillStore {
 /// `faults` feature: production builds carry no file-corruption helper.
 #[cfg(any(test, feature = "faults"))]
 pub fn corrupt_file(path: &Path, salt: u64) -> std::io::Result<()> {
-    let mut raw = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut raw)?;
+    let mut raw = fs::read(path)?;
     if raw.is_empty() {
         return Ok(());
     }
@@ -151,57 +132,23 @@ pub fn corrupt_file(path: &Path, salt: u64) -> std::io::Result<()> {
     fs::write(path, raw)
 }
 
-fn write_matrix(path: &Path, m: &DenseMatrix) -> std::io::Result<usize> {
-    let mut buf = BytesMut::with_capacity(HEADER_BYTES + m.len() * 8 + TRAILER_BYTES);
-    buf.put_u32(MAGIC);
-    buf.put_u32(VERSION);
-    buf.put_u64(m.rows() as u64);
-    buf.put_u64(m.cols() as u64);
-    for &v in m.data() {
-        buf.put_f64(v);
-    }
-    let checksum = fnv1a(&buf);
-    buf.put_u64(checksum);
-    let mut f = fs::File::create(path)?;
-    f.write_all(&buf)?;
-    Ok(buf.len())
-}
-
-fn read_matrix(path: &Path) -> std::io::Result<DenseMatrix> {
-    let mut raw = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut raw)?;
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    if raw.len() < HEADER_BYTES + TRAILER_BYTES {
-        return Err(bad("spill file too short"));
-    }
-    let (body, trailer) = raw.split_at(raw.len() - TRAILER_BYTES);
-    let mut t = trailer;
-    if fnv1a(body) != t.get_u64() {
-        return Err(bad("spill file checksum mismatch"));
-    }
-    let mut buf = body;
-    if buf.get_u32() != MAGIC {
-        return Err(bad("bad spill file header"));
-    }
-    let version = buf.get_u32();
-    if version != VERSION {
-        return Err(bad(&format!("unsupported spill format version {version}")));
-    }
-    let rows = buf.get_u64() as usize;
-    let cols = buf.get_u64() as usize;
-    if rows.checked_mul(cols).and_then(|n| n.checked_mul(8)) != Some(buf.remaining()) {
-        return Err(bad("truncated spill file"));
-    }
-    let mut data = Vec::with_capacity(rows * cols);
-    for _ in 0..rows * cols {
-        data.push(buf.get_f64());
-    }
-    DenseMatrix::new(rows, cols, data).map_err(|e| bad(&e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::fnv1a;
+    use bytes::{BufMut, BytesMut};
+    use lima_matrix::DenseMatrix;
+
+    /// A `LIMV` image with the given version and body, checksum fixed up.
+    fn limv(version: u32, body: impl FnOnce(&mut BytesMut)) -> BytesMut {
+        let mut buf = BytesMut::new();
+        buf.put_slice(b"LIMV");
+        buf.put_u32(version);
+        body(&mut buf);
+        let checksum = fnv1a(&buf);
+        buf.put_u64(checksum);
+        buf
+    }
 
     #[test]
     fn spill_and_restore_round_trips() {
@@ -209,8 +156,9 @@ mod tests {
         let m = DenseMatrix::from_fn(13, 7, |i, j| (i * 7 + j) as f64 * 0.5 - 3.0);
         let v = Value::matrix(m.clone());
         let (path, bytes) = store.spill(&v).unwrap().unwrap();
-        assert_eq!(bytes, HEADER_BYTES + 13 * 7 * 8 + TRAILER_BYTES);
-        assert!(path.exists());
+        // magic + version + tag + rows + cols, the f64s, the checksum.
+        assert_eq!(bytes, 4 + 4 + 1 + 8 + 8 + 13 * 7 * 8 + 8);
+        assert_eq!(fs::read(&path).unwrap(), encode_value_file(&v).unwrap());
         let back = store.restore(&path).unwrap();
         assert!(back.as_matrix().unwrap().approx_eq(&m, 0.0));
         assert!(!path.exists(), "restore deletes the spill file");
@@ -256,21 +204,24 @@ mod tests {
         let store = SpillStore::new().unwrap();
         let v = Value::matrix(DenseMatrix::zeros(4, 4));
         let (path, _) = store.spill(&v).unwrap().unwrap();
+        let clean = fs::read(&path).unwrap();
         fs::write(&path, b"garbage").unwrap();
         assert!(store.restore(&path).is_err());
-        let truncated = {
-            let mut buf = BytesMut::new();
-            buf.put_u32(MAGIC);
-            buf.put_u32(VERSION);
+        // Every strict prefix of a valid file.
+        for len in 0..clean.len() {
+            fs::write(&path, &clean[..len]).unwrap();
+            assert!(store.restore(&path).is_err(), "{len}-byte prefix");
+        }
+        // A 10x10 header over one f64, checksum fixed up.
+        let truncated = limv(1, |buf| {
+            buf.put_u8(0);
             buf.put_u64(10);
             buf.put_u64(10);
             buf.put_f64(1.0);
-            let checksum = fnv1a(&buf);
-            buf.put_u64(checksum);
-            buf
-        };
+        });
         fs::write(&path, &truncated).unwrap();
-        assert!(store.restore(&path).is_err());
+        let err = store.restore(&path).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "got: {err}");
     }
 
     #[test]
@@ -299,18 +250,18 @@ mod tests {
             .spill(&Value::matrix(DenseMatrix::zeros(2, 2)))
             .unwrap()
             .unwrap();
-        // A structurally valid file with a wrong version (checksum fixed up).
-        let mut buf = BytesMut::new();
-        buf.put_u32(MAGIC);
-        buf.put_u32(1);
-        buf.put_u64(1);
-        buf.put_u64(1);
-        buf.put_f64(2.0);
-        let checksum = fnv1a(&buf);
-        buf.put_u64(checksum);
-        fs::write(&path, &buf).unwrap();
-        let err = store.restore(&path).unwrap_err();
-        assert!(err.to_string().contains("version"));
+        // Structurally valid files with a wrong version (checksum fixed up).
+        for version in [0, 2] {
+            let file = limv(version, |buf| {
+                buf.put_u8(0);
+                buf.put_u64(1);
+                buf.put_u64(1);
+                buf.put_f64(2.0);
+            });
+            fs::write(&path, &file).unwrap();
+            let err = store.restore(&path).unwrap_err();
+            assert!(err.to_string().contains("version"), "got: {err}");
+        }
     }
 
     #[test]

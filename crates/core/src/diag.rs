@@ -8,10 +8,11 @@
 //! and `limad` ships them over the wire so clients receive machine-readable
 //! positions instead of flattened strings.
 //!
-//! JSON encoding is hand-rolled (the workspace is offline and vendors no
-//! serde); [`Diagnostic::from_json`] tolerates and skips unknown keys so the
-//! schema can grow without breaking old readers.
+//! JSON goes through the shared [`crate::json`] reader and escaper;
+//! [`Diagnostic::from_json`] tolerates and skips unknown keys so the schema
+//! can grow without breaking old readers.
 
+use crate::json::{parse_json, push_string, Json};
 use std::fmt;
 
 /// A half-open byte range `[start, end)` into the original source text.
@@ -308,10 +309,10 @@ impl Diagnostic {
     /// README "Linting"): `severity`, `code`, `message`, optional `span`
     /// (`{"start": .., "end": ..}`), `labels`, optional `help`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"severity\":\"{}\"", self.severity.as_str()));
-        out.push_str(&format!(",\"code\":{}", json_str(&self.code)));
-        out.push_str(&format!(",\"message\":{}", json_str(&self.message)));
+        let mut out = format!("{{\"severity\":\"{}\",\"code\":", self.severity.as_str());
+        push_string(&mut out, &self.code);
+        out.push_str(",\"message\":");
+        push_string(&mut out, &self.message);
         if let Some(s) = self.primary {
             out.push_str(&format!(
                 ",\"span\":{{\"start\":{},\"end\":{}}}",
@@ -324,15 +325,16 @@ impl Diagnostic {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"start\":{},\"end\":{},\"message\":{}}}",
-                l.span.start,
-                l.span.end,
-                json_str(&l.message)
+                "{{\"start\":{},\"end\":{},\"message\":",
+                l.span.start, l.span.end
             ));
+            push_string(&mut out, &l.message);
+            out.push('}');
         }
         out.push(']');
         if let Some(h) = &self.help {
-            out.push_str(&format!(",\"help\":{}", json_str(h)));
+            out.push_str(",\"help\":");
+            push_string(&mut out, h);
         }
         out.push('}');
         out
@@ -343,37 +345,33 @@ impl Diagnostic {
     ///
     /// [`to_json`]: Diagnostic::to_json
     pub fn from_json(src: &str) -> Option<Diagnostic> {
-        let v = Json::parse(src)?;
-        Diagnostic::from_value(&v)
+        Diagnostic::from_value(&parse_json(src).ok()?)
     }
 
     fn from_value(v: &Json) -> Option<Diagnostic> {
-        let obj = v.as_obj()?;
-        let severity = Severity::from_name(get(obj, "severity")?.as_str()?)?;
-        let code = get(obj, "code")?.as_str()?.to_string();
-        let message = get(obj, "message")?.as_str()?.to_string();
-        let primary = match get(obj, "span") {
+        let text = |j: &Json, key: &str| Some(j.get(key)?.as_str()?.to_string());
+        let severity = Severity::from_name(v.get("severity")?.as_str()?)?;
+        let primary = match v.get("span") {
             Some(s) => Some(span_from(s)?),
             None => None,
         };
         let mut labels = Vec::new();
-        if let Some(ls) = get(obj, "labels") {
+        if let Some(ls) = v.get("labels") {
             for l in ls.as_arr()? {
-                let lo = l.as_obj()?;
                 labels.push(Label {
                     span: span_from(l)?,
-                    message: get(lo, "message")?.as_str()?.to_string(),
+                    message: text(l, "message")?,
                 });
             }
         }
-        let help = match get(obj, "help") {
+        let help = match v.get("help") {
             Some(h) => Some(h.as_str()?.to_string()),
             None => None,
         };
         Some(Diagnostic {
             severity,
-            code,
-            message,
+            code: text(v, "code")?,
+            message: text(v, "message")?,
             primary,
             labels,
             help,
@@ -414,13 +412,12 @@ pub fn diagnostics_to_json(diags: &[Diagnostic]) -> String {
 
 /// Decodes a JSON array of diagnostics; `None` on malformed input.
 pub fn diagnostics_from_json(src: &str) -> Option<Vec<Diagnostic>> {
-    let v = Json::parse(src)?;
-    let arr = v.as_arr()?;
-    let mut out = Vec::with_capacity(arr.len());
-    for d in arr {
-        out.push(Diagnostic::from_value(d)?);
-    }
-    Some(out)
+    parse_json(src)
+        .ok()?
+        .as_arr()?
+        .iter()
+        .map(Diagnostic::from_value)
+        .collect()
 }
 
 // ------------------------------------------------------------ line mapping
@@ -461,261 +458,11 @@ pub fn line_col(src: &str, offset: usize) -> (usize, usize) {
     locate(src, &starts, offset)
 }
 
-// ------------------------------------------------------- minimal JSON layer
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A tiny owned JSON value — just enough to round-trip diagnostics without a
-/// serde dependency (the workspace vendors no external crates).
-enum Json {
-    Null,
-    /// Parsed but never extracted: diagnostics carry no boolean fields, yet
-    /// the parser must still accept `true`/`false` inside unknown keys.
-    Bool(#[allow(dead_code)] bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(src: &str) -> Option<Json> {
-        let mut p = JsonParser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos == p.bytes.len() {
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u32(&self) -> Option<u32> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && *n <= u32::MAX as f64 && n.fract() == 0.0 => {
-                Some(*n as u32)
-            }
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
 fn span_from(v: &Json) -> Option<Span> {
-    let o = v.as_obj()?;
     Some(Span::new(
-        get(o, "start")?.as_u32()?,
-        get(o, "end")?.as_u32()?,
+        v.get("start")?.as_u32()?,
+        v.get("end")?.as_u32()?,
     ))
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Option<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn lit(&mut self, word: &str) -> Option<()> {
-        let end = self.pos + word.len();
-        if self.bytes.get(self.pos..end) == Some(word.as_bytes()) {
-            self.pos = end;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn value(&mut self) -> Option<Json> {
-        self.skip_ws();
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => self.string().map(Json::Str),
-            b't' => self.lit("true").map(|_| Json::Bool(true)),
-            b'f' => self.lit("false").map(|_| Json::Bool(false)),
-            b'n' => self.lit("null").map(|_| Json::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            _ => None,
-        }
-    }
-
-    fn object(&mut self) -> Option<Json> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Some(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Some(Json::Obj(fields));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn array(&mut self) -> Option<Json> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Some(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Some(Json::Arr(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek()? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek()? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let hex = std::str::from_utf8(hex).ok()?;
-                            let cp = u32::from_str_radix(hex, 16).ok()?;
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                b => {
-                    // Copy the whole (possibly multi-byte) char.
-                    let start = self.pos;
-                    let width = if b < 0x80 {
-                        1
-                    } else if b >= 0xf0 {
-                        4
-                    } else if b >= 0xe0 {
-                        3
-                    } else {
-                        2
-                    };
-                    let chunk = self.bytes.get(start..start + width)?;
-                    out.push_str(std::str::from_utf8(chunk).ok()?);
-                    self.pos += width;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<Json> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(self.bytes.get(start..self.pos)?).ok()?;
-        text.parse::<f64>().ok().map(Json::Num)
-    }
 }
 
 #[cfg(test)]

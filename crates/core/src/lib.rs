@@ -13,11 +13,13 @@
 //! 3. registering computed outputs back into the cache.
 
 pub mod cache;
+pub mod codec;
 pub mod config;
 pub mod diag;
 pub mod faults;
 pub mod governor;
 pub mod interrupt;
+pub mod json;
 pub mod lineage;
 pub mod obs;
 pub mod opcodes;
