@@ -20,11 +20,13 @@ use crate::stats::LimaStats;
 use costs::IoCostModel;
 use entry::{CacheEntry, EntryState};
 use lima_matrix::Value;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use persist::PersistentCacheStore;
 use spill::SpillStore;
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -142,12 +144,67 @@ impl ItemCost {
     }
 }
 
+/// Hasher of the cache map. A [`LinKey`] hashes as one `write_u64` of its
+/// memoized lineage hash, which this finalizes with [`crate::faults::mix`]
+/// instead of running SipHash over it. SipHash's keyed collision resistance
+/// bought nothing here: two traces with equal lineage hashes collide under
+/// any hasher of that hash. `write` folds arbitrary bytes the same way, a
+/// word at a time, so any key type hashes without panicking.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = crate::faults::mix(self.0 ^ v);
+    }
+}
+
+type KeyMap = HashMap<LinKey, CacheEntry, BuildHasherDefault<KeyHasher>>;
+
 struct CacheState {
-    map: HashMap<LinKey, CacheEntry>,
+    map: KeyMap,
     resident_bytes: usize,
     /// Bytes currently held in spill files (accounted by the governor as the
     /// spill-buffer category).
     spilled_bytes: usize,
+    /// Probes parked on the condition variable. A waiter counts itself under
+    /// the state lock before it waits and uncounts itself right after the
+    /// wait returns, so a state change made under the lock that reads 0 here
+    /// has nobody to wake (see [`LineageCache::unlock_and_wake`]).
+    waiters: usize,
+}
+
+impl CacheState {
+    /// Empties the map, freeing entries in lineage-creation order (item IDs
+    /// increase with creation). Items and values were allocated in roughly
+    /// that order, so the frees walk the heap front to back instead of
+    /// scattering across it in hash order. Only the keys are buffered, one
+    /// pointer per entry.
+    fn remove_in_creation_order(&mut self) {
+        let mut keys: Vec<LinKey> = self.map.keys().cloned().collect();
+        keys.sort_unstable_by_key(|k| k.0.id());
+        for key in keys {
+            self.map.remove(&key);
+        }
+    }
+}
+
+impl Drop for CacheState {
+    fn drop(&mut self) {
+        self.remove_in_creation_order();
+    }
 }
 
 /// The LIMA lineage cache. Cheap to share (`Arc`); all methods are
@@ -227,11 +284,9 @@ impl LineageCache {
     /// committed are validated and repopulated as warm cache entries. An
     /// unusable persist directory degrades to a memory-only cache.
     pub fn new(config: LimaConfig) -> Arc<Self> {
-        let spill_store = if config.spill {
-            SpillStore::with_faults(config.faults.clone()).ok()
-        } else {
-            None
-        };
+        let spill_store = config
+            .spill
+            .then(|| SpillStore::with_faults(config.faults.clone()));
         let mut recovered = Vec::new();
         let persist_store = match (&config.persist_enabled, &config.persist_dir) {
             (true, Some(dir)) => PersistentCacheStore::open_with(
@@ -276,9 +331,10 @@ impl LineageCache {
             io: IoCostModel::new(),
             spill_store,
             state: Mutex::new(CacheState {
-                map: HashMap::new(),
+                map: KeyMap::default(),
                 resident_bytes: 0,
                 spilled_bytes: 0,
+                waiters: 0,
             }),
             cond: Condvar::new(),
             clock: AtomicU64::new(1),
@@ -416,6 +472,20 @@ impl LineageCache {
 
     fn tick(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Releases the state lock and wakes the probes parked on a placeholder,
+    /// skipping the wake-up (a futex syscall) when none is parked. Race-free
+    /// because both sides hold the state lock: a waiter counts itself in the
+    /// same lock hold in which it saw the placeholder, and `Condvar::wait`
+    /// releases that lock atomically. So a change made under the lock either
+    /// sees the waiter counted, or precedes the waiter's look at the entry.
+    fn unlock_and_wake(&self, st: MutexGuard<'_, CacheState>) {
+        let parked = st.waiters > 0;
+        drop(st);
+        if parked {
+            self.cond.notify_all();
+        }
     }
 
     /// Observability hub, already gated: `Some` only when attached *and*
@@ -564,15 +634,17 @@ impl LineageCache {
         let mut st = self.state.lock();
         loop {
             let now = self.tick();
-            let Some(e) = st.map.get_mut(&key) else {
-                if !self.admissions_open() {
-                    LimaStats::bump(&self.stats.governor_admission_rejects);
-                    return Ok(None);
+            let e = match st.map.entry(key.clone()) {
+                Entry::Occupied(o) => o.into_mut(),
+                Entry::Vacant(v) => {
+                    if !self.admissions_open() {
+                        LimaStats::bump(&self.stats.governor_admission_rejects);
+                        return Ok(None);
+                    }
+                    v.insert(CacheEntry::computing(height, now));
+                    drop(st);
+                    return Ok(Some(self.reserve(key)));
                 }
-                st.map
-                    .insert(key.clone(), CacheEntry::computing(height, now));
-                drop(st);
-                return Ok(Some(self.reserve(key)));
             };
             match &e.state {
                 EntryState::Cached(v) => {
@@ -616,8 +688,7 @@ impl LineageCache {
                                 let credit = take_hit_credit(&mut st.map, &key);
                                 st.resident_bytes += size;
                                 self.enforce_budget(&mut st);
-                                drop(st);
-                                self.cond.notify_all();
+                                self.unlock_and_wake(st);
                                 if from_persist {
                                     LimaStats::bump(&self.stats.persist_hits);
                                 }
@@ -646,7 +717,9 @@ impl LineageCache {
                                 e.misses += 1;
                             }
                             self.sync_governor(&st);
-                            self.cond.notify_all();
+                            if st.waiters > 0 {
+                                self.cond.notify_all();
+                            }
                             continue;
                         }
                     }
@@ -676,6 +749,7 @@ impl LineageCache {
                         (true, None) => Some(INTERRUPT_WAIT_SLICE),
                         (false, r) => r,
                     };
+                    st.waiters += 1;
                     match slice {
                         None => {
                             self.cond.wait(&mut st);
@@ -684,6 +758,7 @@ impl LineageCache {
                             let _ = self.cond.wait_for(&mut st, d);
                         }
                     }
+                    st.waiters -= 1;
                     if let Some(intr) = interrupt {
                         intr.check()?;
                     }
@@ -800,8 +875,7 @@ impl LineageCache {
                         e.last_access = self.tick();
                         st.resident_bytes += size;
                         self.enforce_budget(&mut st);
-                        drop(st);
-                        self.cond.notify_all();
+                        self.unlock_and_wake(st);
                         Some(value)
                     }
                     Err(_) => {
@@ -811,8 +885,7 @@ impl LineageCache {
                         e.state = EntryState::Evicted;
                         e.misses += 1;
                         self.sync_governor(&st);
-                        drop(st);
-                        self.cond.notify_all();
+                        self.unlock_and_wake(st);
                         None
                     }
                 }
@@ -902,20 +975,21 @@ impl LineageCache {
     ) -> Vec<(LinRef, Value, u64)> {
         let nbuckets = nbuckets.max(1);
         let st = self.state.lock();
+        let mut candidates: Vec<(&LinKey, &CacheEntry, &Value)> = st
+            .map
+            .iter()
+            .filter_map(|(k, e)| match &e.state {
+                EntryState::Cached(v) if !matches!(v, Value::List(_)) => Some((k, e, v)),
+                _ => None,
+            })
+            .filter(|(k, _, _)| crate::faults::mix(k.0.hash_value()) % nbuckets == bucket)
+            .collect();
+        candidates.sort_unstable_by_key(|(_, e, _)| std::cmp::Reverse(e.last_access));
         let mut out = Vec::new();
         let mut bytes = 0usize;
-        for (k, e) in st.map.iter() {
+        for (k, e, v) in candidates {
             if out.len() >= max_entries || bytes >= max_bytes {
                 break;
-            }
-            let EntryState::Cached(v) = &e.state else {
-                continue;
-            };
-            if matches!(v, Value::List(_)) {
-                continue;
-            }
-            if crate::faults::mix(k.0.hash_value()) % nbuckets != bucket {
-                continue;
             }
             bytes += e.size;
             out.push((k.0.clone(), v.clone(), e.compute_ns));
@@ -959,8 +1033,7 @@ impl LineageCache {
             }
         }
         self.sync_governor(&st);
-        drop(st);
-        self.cond.notify_all();
+        self.unlock_and_wake(st);
         if let Some(o) = self.obs() {
             o.record_instant(
                 EventKind::CacheFulfill,
@@ -1171,8 +1244,7 @@ impl LineageCache {
                 e.state = EntryState::Evicted;
             }
         }
-        drop(st);
-        self.cond.notify_all();
+        self.unlock_and_wake(st);
     }
 
     /// Evicts (spill or delete) until the resident size fits the budget.
@@ -1355,13 +1427,12 @@ impl LineageCache {
                 }
             }
         }
-        st.map.clear();
+        st.remove_in_creation_order();
         st.resident_bytes = 0;
         st.spilled_bytes = 0;
         self.sync_governor(&st);
-        drop(st);
+        self.unlock_and_wake(st);
         self.drain_compaction_counters();
-        self.cond.notify_all();
     }
 }
 
@@ -1376,10 +1447,15 @@ impl LineageCache {
 /// composite's first hit credits its own cost, which the composite then
 /// subtracts. Must run under the cache state lock.
 #[allow(clippy::mutable_key_type)] // OnceLock caches never change Hash/Eq
-fn take_hit_credit(map: &mut HashMap<LinKey, CacheEntry>, key: &LinKey) -> u64 {
+fn take_hit_credit(map: &mut KeyMap, key: &LinKey) -> u64 {
     let (compute_ns, children) = match map.get_mut(key) {
         Some(e) if !e.credited => {
             e.credited = true;
+            if e.children.is_empty() {
+                // Operation-level entries have no constituents to net out.
+                e.credited_ns = e.compute_ns;
+                return e.compute_ns;
+            }
             (e.compute_ns, e.children.clone())
         }
         _ => return 0,
@@ -2285,6 +2361,138 @@ mod tests {
         let top1 = cache.cost_report(1);
         assert_eq!(top1.len(), 1);
         assert!(top1[0].render().contains("tsmm"));
+    }
+
+    #[test]
+    fn interrupted_waiter_uncounts_itself_and_later_waiters_still_wake() {
+        use crate::interrupt::{CancelToken, Interrupt, InterruptKind};
+        let cache = LineageCache::new(LimaConfig {
+            placeholder_timeout_ms: 60_000,
+            ..cfg(1 << 20)
+        });
+        let reserve = |tag: &str| match cache.acquire(&mk_item("ba+*", tag)).unwrap() {
+            Probe::Reserved(r) => r,
+            Probe::Hit(_) => panic!("fresh key"),
+        };
+        let wait_until_parked = || {
+            while cache.state.lock().waiters == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        // A waiter cancelled mid-wait leaves the count at 0.
+        let r1 = reserve("X");
+        let token = CancelToken::new();
+        let intr = Interrupt {
+            token: Some(Arc::clone(&token)),
+            deadline: None,
+        };
+        let c = Arc::clone(&cache);
+        let cancelled = std::thread::spawn(move || {
+            c.acquire_interruptible(&mk_item("ba+*", "X"), Some(&intr))
+                .err()
+        });
+        wait_until_parked();
+        token.cancel();
+        assert_eq!(cancelled.join().unwrap(), Some(InterruptKind::Cancelled));
+        assert_eq!(cache.state.lock().waiters, 0);
+        r1.fulfill(&mat(2), 10);
+        // A later waiter on a new placeholder is woken by its fulfill, long
+        // before the 60 s placeholder timeout.
+        let r2 = reserve("Y");
+        let c = Arc::clone(&cache);
+        let t0 = Instant::now();
+        let woken = std::thread::spawn(move || {
+            matches!(c.acquire(&mk_item("ba+*", "Y")), Some(Probe::Hit(_)))
+        });
+        wait_until_parked();
+        r2.fulfill(&mat(3), 10);
+        assert!(
+            woken.join().unwrap(),
+            "the waiter must reuse the fulfilled value"
+        );
+        assert!(t0.elapsed() < Duration::from_secs(5));
+        assert_eq!(cache.state.lock().waiters, 0);
+    }
+
+    /// A cache keyed by every node of a 200,000-deep unary chain.
+    fn deep_chain_cache() -> Arc<LineageCache> {
+        let cache = LineageCache::new(cfg(1 << 30));
+        let mut node = LineageItem::literal("f:0");
+        for _ in 0..200_000 {
+            node = LineageItem::op("exp", vec![node]);
+            cache.put(&node, &Value::f64(1.0), 1);
+        }
+        assert_eq!(LimaStats::get(&cache.stats().puts), 200_000);
+        cache
+    }
+
+    #[test]
+    fn dropping_a_deep_chain_cache_does_not_overflow_the_stack() {
+        drop(deep_chain_cache());
+    }
+
+    #[test]
+    fn clearing_a_deep_chain_cache_does_not_overflow_the_stack() {
+        let cache = deep_chain_cache();
+        cache.clear();
+        assert_eq!(cache.live_entries(), 0);
+    }
+
+    #[test]
+    fn export_bucket_caps_keep_the_most_recently_accessed_entries() {
+        let cache = LineageCache::new(cfg(1 << 24));
+        let items: Vec<LinRef> = ["A", "B", "C", "D", "E"]
+            .iter()
+            .map(|t| mk_item("ba+*", t))
+            .collect();
+        for item in &items {
+            cache.put(item, &mat(4), 100);
+        }
+        // Touch B, then D: they are now the two newest accesses.
+        for i in [1, 3] {
+            assert!(matches!(cache.acquire(&items[i]), Some(Probe::Hit(_))));
+        }
+        let ids = |rows: Vec<(LinRef, Value, u64)>| -> Vec<u64> {
+            rows.iter().map(|(k, _, _)| k.id()).collect()
+        };
+        assert_eq!(
+            ids(cache.export_bucket(0, 1, 2, usize::MAX)),
+            vec![items[3].id(), items[1].id()]
+        );
+        // A byte cap of one value keeps only the newest.
+        let one = mat(4).size_in_bytes();
+        assert_eq!(ids(cache.export_bucket(0, 1, 10, one)), vec![items[3].id()]);
+        // Uncapped: everything, newest access first (E was put last).
+        assert_eq!(
+            ids(cache.export_bucket(0, 1, 10, usize::MAX)),
+            [3, 1, 4, 2, 0].map(|i| items[i].id()).to_vec()
+        );
+    }
+
+    #[test]
+    fn failed_spill_directory_create_counts_as_a_spill_failure() {
+        let mut cache = LineageCache::new(LimaConfig {
+            budget_bytes: 100_000,
+            spill: true,
+            spill_failure_limit: 0,
+            ..LimaConfig::default()
+        });
+        assert!(cache.spill_store.is_some(), "spill on means a store");
+        let file = std::env::temp_dir().join(format!("lima-cache-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        Arc::get_mut(&mut cache).unwrap().spill_store =
+            Some(SpillStore::in_dir(file.join("spill"), None));
+        cache.put(&mk_item("ba+*", "hot"), &mat(100), 60_000_000_000);
+        cache.put(&mk_item("ba+*", "filler"), &mat(90), 120_000_000_000);
+        assert!(LimaStats::get(&cache.stats().spill_failures) >= 1);
+        assert_eq!(LimaStats::get(&cache.stats().spills), 0);
+        assert!(LimaStats::get(&cache.stats().evictions) >= 1);
+        // The victim is a graceful miss.
+        assert!(matches!(
+            cache.acquire(&mk_item("ba+*", "hot")).unwrap(),
+            Probe::Reserved(_)
+        ));
+        std::fs::remove_file(&file).unwrap();
     }
 
     #[test]

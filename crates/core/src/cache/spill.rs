@@ -5,8 +5,8 @@
 //! format persisted values use ([`crate::codec`]). Its trailing FNV-1a-64
 //! checksum detects every single-byte corruption, so a damaged spill file
 //! always restores to a clean error — never to a silently wrong matrix.
-//! Spill files live in a per-process directory that is deleted on drop and
-//! are only read by the process that wrote them.
+//! Spill files live in a per-process directory, created by the first spill
+//! and deleted on drop, and are only read by the process that wrote them.
 //!
 //! A [`crate::faults::FaultInjector`] can be attached to exercise write
 //! failures, read failures, and on-disk corruption deterministically.
@@ -16,7 +16,7 @@ use crate::faults::{FaultInjector, FaultSite};
 use lima_matrix::Value;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 static NEXT_FILE_ID: AtomicU64 = AtomicU64::new(1);
@@ -25,24 +25,37 @@ static NEXT_FILE_ID: AtomicU64 = AtomicU64::new(1);
 #[derive(Debug)]
 pub struct SpillStore {
     dir: PathBuf,
+    /// Set once the first spill has created `dir`; a store that never
+    /// spills never touches the file system.
+    created: AtomicBool,
     faults: Option<Arc<FaultInjector>>,
 }
 
 impl SpillStore {
-    /// Creates a per-process spill directory under the system temp dir.
+    /// A store over a per-process spill directory under the system temp
+    /// dir. The directory is created by the first spill, so this cannot
+    /// fail; the `Result` is kept for existing callers.
     pub fn new() -> std::io::Result<Self> {
-        Self::with_faults(None)
+        Ok(Self::with_faults(None))
     }
 
     /// [`Self::new`] with an optional fault-injection harness attached.
-    pub fn with_faults(faults: Option<Arc<FaultInjector>>) -> std::io::Result<Self> {
+    pub fn with_faults(faults: Option<Arc<FaultInjector>>) -> Self {
         let dir = std::env::temp_dir().join(format!(
             "lima-spill-{}-{}",
             std::process::id(),
             NEXT_FILE_ID.fetch_add(1, Ordering::Relaxed)
         ));
-        fs::create_dir_all(&dir)?;
-        Ok(SpillStore { dir, faults })
+        Self::in_dir(dir, faults)
+    }
+
+    /// A store whose (not yet created) directory is `dir`.
+    pub(crate) fn in_dir(dir: PathBuf, faults: Option<Arc<FaultInjector>>) -> Self {
+        SpillStore {
+            dir,
+            created: AtomicBool::new(false),
+            faults,
+        }
     }
 
     /// Spills a matrix value; returns the file path and bytes written.
@@ -63,6 +76,14 @@ impl SpillStore {
             if f.should_fail(FaultSite::SpillWrite) {
                 return Err(FaultInjector::io_error(FaultSite::SpillWrite));
             }
+        }
+        // A failed create is a failed write: the caller counts it and
+        // evicts by deletion. Racing first spills both create, which is
+        // idempotent; the Release store pairs with the Acquire load, so a
+        // spill that sees the flag runs after a completed create.
+        if !self.created.load(Ordering::Acquire) {
+            fs::create_dir_all(&self.dir)?;
+            self.created.store(true, Ordering::Release);
         }
         let path = self.dir.join(format!(
             "e{}.bin",
@@ -107,6 +128,9 @@ impl SpillStore {
 
 impl Drop for SpillStore {
     fn drop(&mut self) {
+        if !*self.created.get_mut() {
+            return;
+        }
         // The directory may already be gone (external temp cleanup); that is
         // the desired end state, not a failure worth surfacing.
         if let Err(e) = fs::remove_dir_all(&self.dir) {
@@ -271,7 +295,7 @@ mod tests {
                 .fail_at(FaultSite::SpillWrite, &[0])
                 .fail_at(FaultSite::SpillRead, &[1]),
         );
-        let store = SpillStore::with_faults(Some(Arc::clone(&inj))).unwrap();
+        let store = SpillStore::with_faults(Some(Arc::clone(&inj)));
         let v = Value::matrix(DenseMatrix::zeros(2, 2));
         assert!(store.spill(&v).is_err(), "first write fails");
         let (path, _) = store.spill(&v).unwrap().unwrap();
@@ -285,11 +309,34 @@ mod tests {
     #[test]
     fn injected_corruption_is_caught_at_restore() {
         let inj = Arc::new(FaultInjector::new(0).fail_every(FaultSite::SpillCorrupt, 1));
-        let store = SpillStore::with_faults(Some(inj)).unwrap();
+        let store = SpillStore::with_faults(Some(inj));
         let v = Value::matrix(DenseMatrix::from_fn(5, 5, |i, j| (i * j) as f64));
         let (path, _) = store.spill(&v).unwrap().unwrap();
         let err = store.restore(&path).unwrap_err();
         assert!(err.to_string().contains("checksum"), "got: {err}");
+    }
+
+    #[test]
+    fn a_store_that_never_spills_leaves_no_directory() {
+        let store = SpillStore::new().unwrap();
+        let dir = store.dir.clone();
+        // Non-matrix values are not spilled, so they create nothing either.
+        assert!(store.spill(&Value::f64(1.0)).unwrap().is_none());
+        assert!(!dir.exists());
+        drop(store);
+        assert!(!dir.exists());
+    }
+
+    #[test]
+    fn failed_directory_create_is_a_write_error() {
+        // A directory below a regular file can never be created.
+        let file = std::env::temp_dir().join(format!("lima-spill-file-{}", std::process::id()));
+        fs::write(&file, b"not a directory").unwrap();
+        let store = SpillStore::in_dir(file.join("spill"), None);
+        let v = Value::matrix(DenseMatrix::zeros(2, 2));
+        assert!(store.spill(&v).is_err());
+        drop(store);
+        fs::remove_file(&file).unwrap();
     }
 
     #[test]

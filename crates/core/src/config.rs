@@ -276,16 +276,14 @@ impl LimaConfig {
         }
     }
 
-    /// True when `op` qualifies for caching under this configuration.
+    /// True when `op` qualifies for caching under this configuration: the
+    /// override set when one is given, else the `cacheable` column of
+    /// [`crate::opcodes::OPCODE_TABLE`] (prefixed families resolved by
+    /// [`crate::opcodes::opcode_info`]).
     pub fn is_cacheable(&self, op: &str) -> bool {
         match &self.cacheable_opcodes {
             Some(set) => set.contains(op),
-            None => {
-                crate::opcodes::default_cacheable().contains(&op)
-                    || op.starts_with(crate::opcodes::FUSED_PREFIX)
-                    || op.starts_with(crate::opcodes::FCALL)
-                    || op.starts_with(crate::opcodes::BCALL)
-            }
+            None => crate::opcodes::opcode_info(op).cacheable,
         }
     }
 }

@@ -325,9 +325,21 @@ impl LineageItem {
     /// Height of the DAG (leaf distance), used by the DAG-Height eviction
     /// policy. Computed iteratively and memoized per node, so repeated calls
     /// on growing traces stay O(1) amortized.
+    ///
+    /// Fast path: when every input's height is memoized (the instruction hot
+    /// path, where inputs are earlier outputs), the node is measured locally
+    /// without a traversal stack.
     pub fn height(self: &Arc<Self>) -> u32 {
         if let Some(h) = self.height.get() {
             return *h;
+        }
+        let local = self
+            .inputs
+            .iter()
+            .try_fold(0u32, |h, i| i.height.get().map(|ih| h.max(ih + 1)));
+        if let Some(h) = local {
+            let _ = self.height.set(h);
+            return h;
         }
         let mut stack: Vec<LinRef> = vec![Arc::clone(self)];
         while let Some(top) = stack.last() {
@@ -471,6 +483,9 @@ pub fn lineage_eq(a: &LinRef, b: &LinRef) -> bool {
     if a.hash_value() != b.hash_value() {
         return false;
     }
+    if same_node_over_shared_inputs(a, b) {
+        return true;
+    }
     let mut matched: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
     let mut stack: Vec<(LinRef, LinRef)> = vec![(Arc::clone(a), Arc::clone(b))];
     while let Some((x, y)) = stack.pop() {
@@ -498,6 +513,26 @@ pub fn lineage_eq(a: &LinRef, b: &LinRef) -> bool {
         }
     }
     true
+}
+
+/// Allocation-free equality for the common probe shape: two plain nodes
+/// with equal opcode, data and slot whose inputs are pairwise the same
+/// objects (a re-traced instruction over the same live variables). Dedup
+/// items never take this path; they must be resolved to compare.
+fn same_node_over_shared_inputs(a: &LineageItem, b: &LineageItem) -> bool {
+    let same_kind = match (&a.kind, &b.kind) {
+        (LineageKind::Op, LineageKind::Op) | (LineageKind::Literal, LineageKind::Literal) => true,
+        (LineageKind::Placeholder(x), LineageKind::Placeholder(y)) => x == y,
+        _ => false,
+    };
+    same_kind
+        && a.opcode == b.opcode
+        && a.data == b.data
+        && a.inputs.len() == b.inputs.len()
+        && a.inputs
+            .iter()
+            .zip(b.inputs.iter())
+            .all(|(x, y)| Arc::ptr_eq(x, y))
 }
 
 /// Hash-map key wrapper giving [`LinRef`] value semantics: hashes by the

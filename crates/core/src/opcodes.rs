@@ -290,18 +290,6 @@ pub fn classify_opcode(op: &str) -> OpClass {
     opcode_info(op).class
 }
 
-/// The default set of opcodes whose outputs qualify for the lineage cache.
-/// Mirrors the paper's "set of reusable instruction opcodes" configuration;
-/// derived from [`OPCODE_TABLE`] so cacheability and determinism cannot
-/// drift apart.
-pub fn default_cacheable() -> Vec<&'static str> {
-    OPCODE_TABLE
-        .iter()
-        .filter(|(_, info)| info.cacheable)
-        .map(|(op, _)| *op)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,12 +345,12 @@ mod tests {
     }
 
     #[test]
-    fn default_cacheable_contains_compute_ops_not_bookkeeping() {
-        let set = default_cacheable();
-        assert!(set.contains(&MATMULT));
-        assert!(set.contains(&TSMM));
-        assert!(!set.contains(&READ));
-        assert!(!set.contains(&RAND));
-        assert!(!set.contains(&CONCAT));
+    fn cacheable_column_covers_compute_ops_not_bookkeeping() {
+        let cacheable = |op| opcode_info(op).cacheable;
+        assert!(cacheable(MATMULT));
+        assert!(cacheable(TSMM));
+        assert!(!cacheable(READ));
+        assert!(!cacheable(RAND));
+        assert!(!cacheable(CONCAT));
     }
 }
